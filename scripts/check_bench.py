@@ -11,13 +11,9 @@ baseline was generated from (:mod:`repro.experiments.engine_bench`):
    dropped from the historical 3x when the per-slot crossover fix
    made the vectorized reference itself ~2x faster; the per-slot
    vectorized path is no slower than classic at every pinned n; and
-   every cross-replica batched cell beats its sequential-classic
+   every replica cell beats its sequential-classic
    baseline by at least ``--replica-speedup-floor`` (default 5x).
-   Sparse cells gate the active-set stepping path: every pinned
-   ``SPARSE_CELLS`` row must be present, dense-baseline cells must show
-   sparse at least ``--sparse-speedup-floor`` (default 3x) faster than
-   dense blocked, and the committed-only ``n = 1M`` scale cell must
-   record a completed run with nonzero transmissions.  This catches a
+   This catches a
    regenerated baseline that silently recorded a regression.  A
    malformed or schema-mismatched baseline fails with a message naming
    the offending field, never a ``KeyError`` traceback.
@@ -56,17 +52,14 @@ from repro.experiments.engine_bench import (  # noqa: E402
     CELLS,
     REPLICA_CELLS,
     SCHEMA_VERSION,
-    SPARSE_CELLS,
     BenchCell,
     ReplicaCell,
-    SparseCell,
     run_bench,
 )
 
 HEADLINE_N = 1600
 _TIMED_KEYS = ("classic_s", "vectorized_s", "blocked_s")
 _REPLICA_TIMED_KEYS = ("batched_s", "sequential_classic_s")
-_SPARSE_TIMED_KEYS = ("blocked_s", "sparse_s")
 
 
 def _fail(msg: str) -> str:
@@ -138,7 +131,6 @@ def check_committed(
     *,
     committed_speedup_floor: float,
     replica_speedup_floor: float,
-    sparse_speedup_floor: float,
 ) -> list[str]:
     """Structural and perf-contract gates on the committed baseline."""
     errors: list[str] = []
@@ -250,62 +242,6 @@ def check_committed(
                 )
         except BenchFormatError as exc:
             errors.append(_fail(str(exc)))
-    try:
-        by_sn = {
-            _field(row, "n", f"sparse_cells[{i}]"): row
-            for i, row in enumerate(
-                _rows(payload, "sparse_cells", "committed baseline")
-            )
-        }
-    except BenchFormatError as exc:
-        errors.append(_fail(str(exc)))
-        by_sn = {}
-    for scell in SPARSE_CELLS:
-        row = by_sn.get(scell.n)
-        if row is None:
-            errors.append(
-                _fail(
-                    f"committed baseline is missing the n={scell.n} sparse "
-                    "cell (regenerate with `make bench-json`)"
-                )
-            )
-            continue
-        label = f"committed n={scell.n} sparse cell"
-        try:
-            committed_scell = _cell_from_row(SparseCell, row, label)
-            if committed_scell != scell:
-                errors.append(
-                    _fail(
-                        f"sparse n={scell.n}: committed workload "
-                        f"{committed_scell} does not match the code's cell "
-                        f"definition {scell} (regenerate with `make bench-json`)"
-                    )
-                )
-                continue
-            # Every sparse cell — including the committed-only n = 1M
-            # scale proof — must have completed end to end with real
-            # protocol activity.
-            _field(row, "sparse_s", label)
-            if _field(row, "tx_total", label) <= 0:
-                errors.append(
-                    _fail(
-                        f"sparse n={scell.n}: committed run recorded no "
-                        "transmissions — the horizon never exercised the "
-                        "sparse path (re-tune the cell)"
-                    )
-                )
-            if scell.dense_baseline:
-                speedup = _field(row, "speedup_sparse_vs_blocked", label)
-                if speedup < sparse_speedup_floor:
-                    errors.append(
-                        _fail(
-                            f"committed sparse n={scell.n} sparse-vs-blocked "
-                            f"speedup {speedup:.2f}x < required "
-                            f"{sparse_speedup_floor:.1f}x"
-                        )
-                    )
-        except BenchFormatError as exc:
-            errors.append(_fail(str(exc)))
     return errors
 
 
@@ -347,7 +283,6 @@ def check_fresh(
     fresh_speedup_floor: float,
     fresh_replica_speedup_floor: float,
     fresh_vectorized_slack: float,
-    fresh_sparse_speedup_floor: float,
 ) -> tuple[list[str], list[str]]:
     """Compare a fresh run against the committed baseline."""
     errors: list[str] = []
@@ -403,27 +338,6 @@ def check_fresh(
                     f"{fresh_replica_speedup_floor:.1f}x"
                 )
             )
-    committed_by_sn = {
-        row["n"]: row for row in committed.get("sparse_cells", ())
-    }
-    for row in fresh.get("sparse_cells", ()):
-        if not row.get("dense_baseline", True):
-            continue  # the n = 1M scale proof is committed-only
-        base = committed_by_sn.get(row["n"])
-        if base is not None:
-            _compare_timed(
-                "sparse n", row["n"], _SPARSE_TIMED_KEYS, row, base,
-                tolerance=tolerance, errors=errors, warnings=warnings,
-            )
-        speedup = row["speedup_sparse_vs_blocked"]
-        if speedup < fresh_sparse_speedup_floor:
-            errors.append(
-                _fail(
-                    f"fresh sparse n={row['n']} sparse-vs-blocked speedup "
-                    f"{speedup:.2f}x < required "
-                    f"{fresh_sparse_speedup_floor:.1f}x"
-                )
-            )
     return errors, warnings
 
 
@@ -445,8 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--replica-speedup-floor", type=float, default=5.0)
     parser.add_argument("--fresh-replica-speedup-floor", type=float, default=4.0)
     parser.add_argument("--fresh-vectorized-slack", type=float, default=1.25)
-    parser.add_argument("--sparse-speedup-floor", type=float, default=3.0)
-    parser.add_argument("--fresh-sparse-speedup-floor", type=float, default=2.0)
     parser.add_argument(
         "--skip-run",
         action="store_true",
@@ -460,18 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         committed,
         committed_speedup_floor=args.committed_speedup_floor,
         replica_speedup_floor=args.replica_speedup_floor,
-        sparse_speedup_floor=args.sparse_speedup_floor,
     )
     warnings: list[str] = []
     if not args.skip_run and not errors:
-        # The fresh run skips the sparse-only scale cells (n = 1M): they
-        # measure deployment construction, not engine stepping, and the
-        # committed row already proves the end-to-end run.
-        fresh = run_bench(
-            sparse_cells=tuple(c for c in SPARSE_CELLS if c.dense_baseline),
-            repeats=2,
-            verbose=True,
-        )
+        fresh = run_bench(repeats=2, verbose=True)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(fresh, fh, indent=2)
@@ -483,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
             fresh_speedup_floor=args.fresh_speedup_floor,
             fresh_replica_speedup_floor=args.fresh_replica_speedup_floor,
             fresh_vectorized_slack=args.fresh_vectorized_slack,
-            fresh_sparse_speedup_floor=args.fresh_sparse_speedup_floor,
         )
         errors.extend(run_errors)
     for line in warnings:

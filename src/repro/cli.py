@@ -129,22 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "fast path engages; results are identical at any B)",
     )
     color.add_argument(
-        "--sparse", action="store_true",
-        help="active-set sparse stepping: per-slot tensor work is "
-        "restricted to awake-and-undecided nodes (byte-identical "
-        "results; pays off when most nodes are asleep or decided)",
-    )
-    color.add_argument(
-        "--partitions", type=int, default=0, metavar="T",
-        help="spatial domain decomposition into ~T grid tiles with "
-        "halo-exact sub-CSR blocks (byte-identical results; 0 = off)",
-    )
-    color.add_argument(
-        "--partition-workers", type=int, default=1, metavar="W",
-        help="worker processes for partitioned tile scans (default 1 = "
-        "in-process; results are identical at any worker count)",
-    )
-    color.add_argument(
         "--metrics", action="store_true",
         help="also print per-slot channel metrics (totals, peaks, RNG "
         "draws per stream)",
@@ -167,10 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--replicas", type=int, default=None, metavar="R",
-        help="run R seeded replicas per configuration on the "
-        "cross-replica batched engine path (experiments that support "
-        "it: e6, e13); sweeps then share one deployment per "
-        "configuration instead of resampling the graph per seed",
+        help="run R seeded replicas per configuration over one shared "
+        "deployment (experiments that support it: e6, e13) instead of "
+        "resampling the graph per seed",
     )
 
     kappa = sub.add_parser("kappa", help="measure kappa_1/kappa_2 of a deployment")
@@ -253,24 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "stepping instead of the classic-vs-vectorized comparison "
         "(0 = off)",
     )
-    conform.add_argument(
-        "--replicas", type=int, default=0, metavar="R",
-        help="lockstep-compare an R-replica batched run against its "
-        "per-replica solo runs instead of the classic-vs-vectorized "
-        "comparison (0 = off)",
-    )
-    conform.add_argument(
-        "--sparse", action="store_true",
-        help="with --family: put the blocked side of the comparison on "
-        "the sparse stepping path; without: run the pinned SPARSE_MATRIX "
-        "instead of the full matrix",
-    )
-    conform.add_argument(
-        "--partitions", type=int, default=0, metavar="T",
-        help="with --family: put the blocked side on the partitioned "
-        "path with ~T grid tiles; without: any nonzero T runs the "
-        "pinned PARTITION_MATRIX instead of the full matrix",
-    )
 
     staticcheck = sub.add_parser(
         "staticcheck",
@@ -339,18 +304,12 @@ def _cmd_color(args) -> int:
         print("--block must be >= 1", file=sys.stderr)
         return 2
     run_kwargs = {}
-    if args.block > 1 or args.sparse or args.partitions:
+    if args.block > 1:
         from repro.core.vector_node import BernoulliColoringNode
 
         # Block-stepping pays off on the vectorized fast path, which
         # needs the batched node interface; same protocol, same paper.
-        # Sparse and partitioned stepping require that path outright.
         run_kwargs = {"block": args.block, "node_cls": BernoulliColoringNode}
-    if args.sparse:
-        run_kwargs["sparse"] = True
-    if args.partitions:
-        run_kwargs["partitions"] = args.partitions
-        run_kwargs["partition_workers"] = args.partition_workers
     scale_kwargs = {}
     if args.channels > 1 and args.regime == "practical":
         # Hopping thins the meeting rate by 1/k; scale the constants
@@ -414,13 +373,10 @@ def _cmd_conform(args) -> int:
         arena_matrix,
         block_matrix,
         fuzz,
-        partition_matrix,
         phy_matrix,
         quick_matrix,
-        replica_matrix,
         run_matrix,
         run_scenario,
-        sparse_matrix,
     )
 
     broken = OffByOneCounterNode if args.inject_bug else None
@@ -438,9 +394,6 @@ def _cmd_conform(args) -> int:
             phy=args.phy,
             channels=args.channels,
             block=args.block,
-            replicas=args.replicas,
-            sparse=args.sparse,
-            partitions=args.partitions,
             protocol=args.protocol,
         )
         reports = [
@@ -449,16 +402,8 @@ def _cmd_conform(args) -> int:
             )
         ]
     else:
-        if args.sparse or args.partitions or args.arena:
-            # Focused pinned matrices for the sparse / partitioned /
-            # arena paths (the flags compose into the concatenation).
-            matrix = ()
-            if args.sparse:
-                matrix = matrix + sparse_matrix()
-            if args.partitions:
-                matrix = matrix + partition_matrix()
-            if args.arena:
-                matrix = matrix + arena_matrix()
+        if args.arena:
+            matrix = arena_matrix()
         elif args.quick:
             matrix = quick_matrix()
         elif broken is not None:
@@ -470,9 +415,6 @@ def _cmd_conform(args) -> int:
                 SCENARIO_MATRIX
                 + phy_matrix()
                 + block_matrix()
-                + replica_matrix()
-                + sparse_matrix()
-                + partition_matrix()
                 + arena_matrix()
             )
         if broken is not None:
@@ -520,7 +462,7 @@ def _cmd_experiment(args) -> int:
 
         if "replicas" not in inspect.signature(mod.run).parameters:
             print(
-                f"{args.id} does not support --replicas (batched sweeps "
+                f"{args.id} does not support --replicas (replica sweeps "
                 "are wired into e6 and e13)",
                 file=sys.stderr,
             )

@@ -112,37 +112,24 @@ def build_simulator(
     unaligned: bool = False,
     offsets: np.ndarray | None = None,
     channels: int = 1,
-    sparse: bool = False,
-    partitions: int = 0,
-    partition_workers: int = 1,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> tuple[RadioSimulator, list[ColoringNode]]:
     """Construct (but do not run) a simulator wired with protocol nodes.
 
     Exposed separately so tests and experiments can step manually or
-    inject observers between slots.  ``sparse`` enables active-set
-    sparse stepping; ``partitions > 0`` builds a
-    :class:`~repro.radio.partition.GridPartition` over the deployment,
-    installs the partition-aware PHY, and scans spans tile-by-tile
-    (``partition_workers`` processes).  Both require the vectorized fast
-    path (a batched ``node_cls``) and are byte-identical to the dense
-    engine — see DESIGN.md §5.13.
+    inject observers between slots.
 
     ``protocol`` selects the node-logic strategy (a
     :class:`~repro.core.strategy.ColoringProtocol`, a registry name, or
     ``None`` for the paper's ``mw05``); it supplies the default
     ``node_cls`` when none is given.  ``phy`` selects the channel model
     by instance or registry name (``None`` keeps the historical
-    selection: multichannel when ``channels > 1``, else collision), and
-    composes with ``partitions`` through the partition-aware variants.
+    selection: multichannel when ``channels > 1``, else collision).
     """
     proto = resolve_protocol(protocol)
     if node_cls is None:
-        # Sparse stepping and partitioned execution only run on the
-        # vectorized fast path, so the protocol's batched node class is
-        # the only sensible default there.
-        node_cls = proto.node_cls(vectorized=bool(sparse or partitions))
+        node_cls = proto.node_cls()
     trace = TraceRecorder(dep.n, level=trace_level)
     if per_node_params is not None and len(per_node_params) != dep.n:
         raise ValueError("per_node_params must have one entry per node")
@@ -171,11 +158,6 @@ def build_simulator(
                 "multi-channel resolution is not implemented on the "
                 "unaligned engine (pick one of unaligned / channels)"
             )
-        if sparse or partitions:
-            raise ValueError(
-                "sparse/partitioned execution is not implemented on the "
-                "unaligned engine"
-            )
         if phy is not None:
             raise ValueError(
                 "the unaligned engine has its own slot-fraction resolution "
@@ -193,18 +175,7 @@ def build_simulator(
         )
     else:
         phy_model = None
-        partition = None
-        if partitions:
-            from repro.radio.partition import GridPartition, make_partitioned_phy
-
-            if phy is not None and not isinstance(phy, str):
-                raise ValueError(
-                    "partitions= builds the partition-aware PHY internally; "
-                    "pass the phy by name, not as an instance"
-                )
-            partition = GridPartition(dep, partitions)
-            phy_model = make_partitioned_phy(partition, channels, name=phy)
-        elif phy is not None:
+        if phy is not None:
             from repro.radio.channel import make_phy
 
             phy_model = phy if not isinstance(phy, str) else make_phy(phy, channels)
@@ -221,9 +192,6 @@ def build_simulator(
             max_message_bits=max_bits,
             loss_prob=loss_prob,
             phy=phy_model,
-            sparse=sparse,
-            partition=partition,
-            partition_workers=partition_workers,
         )
     return sim, nodes
 
@@ -244,9 +212,6 @@ def run_coloring(
     offsets: np.ndarray | None = None,
     channels: int = 1,
     block: int = 1,
-    sparse: bool = False,
-    partitions: int = 0,
-    partition_workers: int = 1,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> ColoringResult:
@@ -295,18 +260,6 @@ def run_coloring(
         per-slot Python cost only at slots where something happens.  The
         result is identical at any block size; the completion stop is
         still localized to the exact slot.
-    sparse:
-        Active-set sparse stepping (see
-        :class:`~repro.radio.engine.RadioSimulator`): per-slot work
-        scales with the number of nodes that can transmit instead of
-        ``n``.  Byte-identical to the dense run; requires a batched
-        ``node_cls``.
-    partitions:
-        When ``> 0``, spatial domain decomposition: a grid partition
-        with that many requested tiles scans and resolves each span
-        tile-by-tile (:mod:`repro.radio.partition`), on
-        ``partition_workers`` processes when ``> 1``.  Byte-identical at
-        any tile/worker count; pays off with ``block > 1``.
     protocol:
         Node-logic strategy (a
         :class:`~repro.core.strategy.ColoringProtocol` instance, a
@@ -336,9 +289,6 @@ def run_coloring(
         unaligned=unaligned,
         offsets=offsets,
         channels=channels,
-        sparse=sparse,
-        partitions=partitions,
-        partition_workers=partition_workers,
         protocol=proto,
         phy=phy,
     )

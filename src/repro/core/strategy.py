@@ -156,8 +156,8 @@ class MisProtocol(ColoringProtocol):
     The standalone primitive :func:`repro.core.mis.run_mis` (which also
     reports per-node cover slots) remains the fine-grained API; this
     class is the same semantics plugged into the shared orchestration,
-    so MIS runs on every engine path — blocked, sparse, partitioned,
-    replica-batched — and over every PHY.
+    so MIS runs on every engine path — per-slot, blocked, replicated —
+    and over every PHY.
     """
 
     name = "mis"

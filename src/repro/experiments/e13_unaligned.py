@@ -63,7 +63,7 @@ def _one(
 
 
 def _build_scenario(n: int, degree: float) -> tuple:
-    """Shared (deployment, params, wake) triple for batched mode."""
+    """Shared (deployment, params, wake) triple for replica mode."""
     dep = random_udg(
         n, expected_degree=degree, seed=_SHARED_GRAPH_SEED, connected=True
     )
@@ -73,9 +73,9 @@ def _build_scenario(n: int, degree: float) -> tuple:
 def _one_shared(
     unaligned: bool, loss_prob: float, seed: int, n: int, degree: float
 ) -> dict:
-    """Per-seed kernel on the *shared* deployment (batched-mode modes the
-    unaligned simulator cannot batch); the scenario memo keeps workers
-    from rebuilding the graph per seed."""
+    """Per-seed kernel on the *shared* deployment (the replica-mode
+    unaligned modes, which run on the compatibility engine); the
+    scenario memo keeps workers from rebuilding the graph per seed."""
     dep, _, _ = shared_build(
         ("e13", n, degree, _SHARED_GRAPH_SEED), partial(_build_scenario, n, degree)
     )
@@ -94,8 +94,8 @@ def run(
     """Run the experiment; see the module docstring for the claim.
 
     ``replicas > 0`` runs ``replicas`` paired trials per mode on **one
-    shared deployment**: the aligned mode executes as a single
-    cross-replica engine batch (:func:`~repro.experiments.parallel.
+    shared deployment**: the aligned mode executes as one replica sweep
+    on the block-stepped fast path (:func:`~repro.experiments.parallel.
     run_replicated_sweep`); the unaligned modes — which only exist on
     the compatibility engine — run per seed over the same memoized
     deployment and seed set, so the paired slowdown ratios still
@@ -174,7 +174,7 @@ def run(
     )
     if replicas > 0:
         table.note(
-            f"replicas={replicas}: aligned mode on the cross-replica batched "
-            "engine path; all modes share one deployment and seed set"
+            f"replicas={replicas}: aligned mode as a block-stepped replica "
+            "sweep; all modes share one deployment and seed set"
         )
     return table

@@ -46,7 +46,7 @@ def _one(scale: float, seed: int, n: int, degree: float) -> dict:
 
 
 def _build_scenario(scale: float, n: int, degree: float) -> tuple:
-    """Shared (deployment, params, wake) triple for one batched scale."""
+    """Shared (deployment, params, wake) triple for one replicated scale."""
     dep = random_udg(n, expected_degree=degree, seed=int(scale * 100), connected=True)
     return dep, Parameters.for_deployment(dep, scale=scale), None
 
@@ -60,14 +60,13 @@ def run(
 ) -> Table:
     """Run the experiment; see the module docstring for the claim.
 
-    ``replicas > 0`` switches each scale's sweep to the cross-replica
-    batched engine path (:func:`~repro.experiments.parallel.
-    run_replicated_sweep`): ``replicas`` protocol seeds run as one batch
-    over **one shared deployment per scale** (built once per scenario
-    hash) instead of resampling the graph per seed — the failure-rate
+    ``replicas > 0`` switches each scale's sweep to a replica sweep
+    (:func:`~repro.experiments.parallel.run_replicated_sweep`):
+    ``replicas`` protocol seeds run on the block-stepped fast path over
+    **one shared deployment per scale** (built once per scenario hash)
+    instead of resampling the graph per seed — the failure-rate
     estimate is then over protocol randomness only, which is the
-    paper's R-trials-per-instance reading of the claim and is what the
-    batched path accelerates.
+    paper's R-trials-per-instance reading of the claim.
     """
     table = Table("E6 constants ablation (Sect. 4 simulation remark)")
     n, degree = (40, 8.0) if quick else (80, 12.0)
@@ -115,7 +114,7 @@ def run(
     )
     if replicas > 0:
         table.note(
-            f"replicas={replicas}: cross-replica batched engine path, one "
+            f"replicas={replicas}: block-stepped replica sweep, one "
             "shared deployment per scale (protocol-seed randomness only)"
         )
     return table

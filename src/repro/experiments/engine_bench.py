@@ -32,33 +32,22 @@ Parameters use :meth:`Parameters.practical` — the exact
 per neighborhood, which is itself slower than the whole benchmark at
 ``n = 1600``.
 
-**Replica cells** (``REPLICA_CELLS``) measure the cross-replica batched
-path (:func:`~repro.radio.replica.run_replicated`): R independent
-protocol replicas over one shared deployment, against the cost of R
-sequential classic runs of the same workload.  The workload here is the
+**Replica cells** (``REPLICA_CELLS``) measure
+:func:`~repro.radio.replica.run_replicated`, a block-stepped seed loop
+of R independent protocol replicas over one shared deployment, against
+the cost of R sequential classic runs of the same workload.  The workload here is the
 **synchronous-wake, throttled-contention regime** (all nodes wake at
 slot 0, ``Parameters.practical(..., scale=1.5)``): the classic path
 pays the full n-node Python loop every slot of the long initial
-listen/backoff phase, while the batched engine skips non-fire slots —
-this is the regime E6's constants ablation actually sweeps, and the one
-where replica batching pays for itself.  The sequential-classic
+listen/backoff phase, while the block-stepped engine skips non-fire
+slots — this is the regime E6's constants ablation actually sweeps.
+The sequential-classic
 baseline is timed on ``classic_sample`` solo runs and extrapolated
 linearly (sequential runs *are* linear in R); the batched side is
 measured in full.  ``sequential_blocked_s`` is recorded alongside for
-transparency: against R sequential *block-stepped* runs the batch is
-roughly break-even — the throughput win comes from the engine path, the
-replica axis buys the shared-deployment API and one process.
-
-**Sparse cells** (``SPARSE_CELLS``) measure the active-set sparse
-stepping path (``build_simulator(..., sparse=True)``) against the dense
-blocked path on an *extreme* cold start at ``n = 10^4``-``10^6``: with
-only a handful of nodes awake inside the horizon, dense blocked still
-draws a full ``(chunk, n)`` uniform segment per active span while the
-sparse path walks just the awake columns (byte-identically — the
-in-benchmark tripwire checks totals, the conformance SPARSE_MATRIX the
-slots).  The ``n = 10^6`` cell is sparse-only and committed-only: the
-end-to-end scale proof, too deployment-construction-heavy for CI's
-fresh re-run.
+transparency: ``run_replicated`` *is* R sequential block-stepped runs,
+so the two track each other — the throughput win comes from the engine
+path, the replica API buys the shared deployment.
 
 Run ``make bench-json`` (or ``python -m repro.experiments.engine_bench``)
 to regenerate ``BENCH_engine.json`` at the repo root.
@@ -87,17 +76,13 @@ __all__ = [
     "CELLS",
     "REPLICA_CELLS",
     "SCHEMA_VERSION",
-    "SPARSE_CELLS",
     "BenchCell",
     "ReplicaCell",
-    "SparseCell",
     "build_replica_workload",
-    "build_sparse_workload",
     "build_workload",
     "main",
     "measure_cell",
     "measure_replica_cell",
-    "measure_sparse_cell",
     "run_bench",
 ]
 
@@ -143,64 +128,25 @@ _PATHS: tuple[tuple[str, type, int], ...] = (
 
 @dataclass(frozen=True)
 class ReplicaCell:
-    """One cross-replica batched benchmark configuration."""
+    """One replica benchmark configuration (one ``run_replicated`` call)."""
 
-    replicas: int  #: batch width R (replica r runs protocol seed seed0 + r)
+    replicas: int  #: replica count R (replica r runs protocol seed seed0 + r)
     n: int = 1600
     slots: int = 10_000  #: measured horizon per replica (fixed work)
     expected_degree: float = 12.0
     scale: float = 1.5  #: contention throttle for ``Parameters.practical``
-    block: int = 4096  #: block size for the batched engine path
+    block: int = 4096  #: block size for the replicas' block-stepped runs
     graph_seed: int = 1
     seed0: int = 101
     classic_sample: int = 2  #: solo classic runs timed for the baseline
 
 
-#: The pinned batched matrix: R = 100 at n = 1600 is the headline cell
+#: The pinned replica matrix: R = 100 at n = 1600 is the headline cell
 #: (the >= 5x acceptance gate vs 100 sequential classic runs); R = 10
 #: tracks that the ratio is R-independent (per-replica cost is flat).
 REPLICA_CELLS: tuple[ReplicaCell, ...] = (
     ReplicaCell(replicas=10),
     ReplicaCell(replicas=100),
-)
-
-
-@dataclass(frozen=True)
-class SparseCell:
-    """One active-set sparse-stepping benchmark configuration.
-
-    The workload is an *extreme* cold start: the wake window is
-    ``wake_window_mult * n`` slots, so only ``~slots / wake_window_mult``
-    nodes are awake inside the measured horizon.  The dense blocked path
-    still draws a ``(chunk, n)`` uniform segment for every span that has
-    any active row; the sparse path walks only the awake-and-undecided
-    columns, so its cost is independent of ``n`` — this matrix is how
-    the engine reaches the 10^5-10^6-node scale.
-    """
-
-    n: int
-    slots: int  #: measured horizon (no stop predicate: fixed work)
-    expected_degree: float = 12.0
-    wake_window_mult: int = 5000  #: wake window = this many slots per node
-    block: int = 1024  #: block size for both fast paths
-    graph_seed: int = 1
-    wake_seed: int = 2
-    sim_seed: int = 3
-    #: measure the dense blocked path alongside (the speedup baseline);
-    #: False = sparse-only (the n = 1M scale proof, where a dense run
-    #: would draw ~``slots * n`` uniforms for nothing)
-    dense_baseline: bool = True
-
-
-#: The pinned sparse matrix: n = 10^4 and 10^5 carry the
-#: sparse-vs-blocked speedup gate (>= 3x, checked by
-#: ``scripts/check_bench.py``); the n = 10^6 cell is the committed-only
-#: end-to-end scale proof (excluded from CI's fresh re-run — its cost is
-#: deployment construction, not engine stepping).
-SPARSE_CELLS: tuple[SparseCell, ...] = (
-    SparseCell(n=10_000, slots=20_000),
-    SparseCell(n=100_000, slots=20_000),
-    SparseCell(n=1_000_000, slots=20_000, dense_baseline=False),
 )
 
 
@@ -258,79 +204,6 @@ def measure_cell(cell: BenchCell, *, repeats: int = 2) -> dict:
         row["vectorized_s"] / row["blocked_s"], 3
     )
     row["speedup_blocked_vs_classic"] = round(row["classic_s"] / row["blocked_s"], 3)
-    return row
-
-
-def build_sparse_workload(cell: SparseCell):
-    """Deployment, parameters, and wake schedule for one sparse cell."""
-    dep = random_udg(
-        cell.n, expected_degree=cell.expected_degree, seed=cell.graph_seed
-    )
-    params = Parameters.practical(cell.n, max(2, dep.max_degree), 5, 18)
-    wake = uniform_random(
-        cell.n, window=cell.wake_window_mult * cell.n, seed=cell.wake_seed
-    )
-    return dep, params, wake
-
-
-def _time_sparse_path(dep, params, wake, cell: SparseCell, *, sparse: bool):
-    """One timed run on the blocked fast path; returns (s, channel totals)."""
-    sim, _ = build_simulator(
-        dep,
-        params,
-        wake,
-        seed=cell.sim_seed,
-        node_cls=BernoulliColoringNode,
-        trace_level=0,
-        sparse=sparse,
-    )
-    t0 = time.perf_counter()
-    sim.run(cell.slots, block=cell.block)
-    elapsed = time.perf_counter() - t0
-    return elapsed, sim.trace.channel_metrics.totals()
-
-
-def measure_sparse_cell(cell: SparseCell, *, repeats: int = 2) -> dict:
-    """Measure the sparse path (and its dense-blocked baseline) on one cell.
-
-    On ``dense_baseline`` cells the two paths' channel-metric totals
-    must agree exactly (the byte-identity tripwire; the slot-for-slot
-    contract lives in the conformance SPARSE_MATRIX), and the row gains
-    ``blocked_s`` / ``speedup_sparse_vs_blocked``.  Sparse-only cells
-    record the sparse wall clock alone, plus ``tx_total`` as evidence
-    the run carried real protocol activity end to end.
-    """
-    dep, params, wake = build_sparse_workload(cell)
-    row: dict = dict(asdict(cell))
-    best_sparse = None
-    sparse_totals = None
-    for _ in range(max(1, repeats)):
-        elapsed, sparse_totals = _time_sparse_path(dep, params, wake, cell, sparse=True)
-        best_sparse = elapsed if best_sparse is None else min(best_sparse, elapsed)
-    assert best_sparse is not None and sparse_totals is not None
-    row["sparse_s"] = round(best_sparse, 6)
-    row["sparse_slots_per_s"] = round(cell.slots / best_sparse, 1)
-    row["tx_total"] = int(sparse_totals["tx"])
-    if cell.dense_baseline:
-        best_dense = None
-        dense_totals = None
-        for _ in range(max(1, repeats)):
-            elapsed, dense_totals = _time_sparse_path(
-                dep, params, wake, cell, sparse=False
-            )
-            best_dense = elapsed if best_dense is None else min(best_dense, elapsed)
-        assert best_dense is not None and dense_totals is not None
-        for col in _IDENTITY_COLUMNS:
-            if dense_totals[col] != sparse_totals[col]:
-                raise AssertionError(
-                    f"sparse path diverged from dense blocked path on cell "
-                    f"n={cell.n}: totals[{col!r}] "
-                    f"{sparse_totals[col]} != {dense_totals[col]}"
-                )
-        row["blocked_s"] = round(best_dense, 6)
-        row["speedup_sparse_vs_blocked"] = round(
-            row["blocked_s"] / row["sparse_s"], 3
-        )
     return row
 
 
@@ -408,7 +281,7 @@ def measure_replica_cell(
     several cells share a workload so the solo runs are timed once.
     The batched run's replica-0 channel-metric totals must match the
     solo block-stepped run exactly (the replica-axis identity tripwire;
-    the slot-for-slot contract lives in the conformance REPLICA_MATRIX).
+    the slot-for-slot contract lives in ``tests/test_radio_replica.py``).
     """
     dep, params, wake = build_replica_workload(cell)
     classic_mean, blocked_wall, solo_totals = (
@@ -460,7 +333,6 @@ def measure_replica_cell(
 def run_bench(
     cells: tuple[BenchCell, ...] = CELLS,
     replica_cells: tuple[ReplicaCell, ...] = REPLICA_CELLS,
-    sparse_cells: tuple[SparseCell, ...] = SPARSE_CELLS,
     *,
     repeats: int = 2,
     replica_repeats: int = 1,
@@ -502,21 +374,6 @@ def run_bench(
                 file=sys.stderr,
             )
         replica_rows.append(rrow)
-    sparse_rows = []
-    for scell in sparse_cells:
-        srow = measure_sparse_cell(scell, repeats=repeats)
-        if verbose:
-            speed = (
-                f"blocked={srow['blocked_s']:.3f}s  "
-                f"({srow['speedup_sparse_vs_blocked']:.2f}x vs blocked)"
-                if scell.dense_baseline
-                else "(sparse-only scale cell)"
-            )
-            print(
-                f"n={srow['n']:>8}  sparse={srow['sparse_s']:.3f}s  {speed}",
-                file=sys.stderr,
-            )
-        sparse_rows.append(srow)
     return {
         "schema": SCHEMA_VERSION,
         "benchmark": "engine_blocks",
@@ -524,10 +381,6 @@ def run_bench(
         "replica_workload": (
             "synchronous-wake throttled contention, shared deployment "
             "(see repro.experiments.engine_bench)"
-        ),
-        "sparse_workload": (
-            "extreme cold start, active-set sparse stepping vs dense "
-            "blocked (see repro.experiments.engine_bench)"
         ),
         "env": {
             "python": platform.python_version(),
@@ -538,7 +391,6 @@ def run_bench(
         "replica_repeats": replica_repeats,
         "cells": rows,
         "replica_cells": replica_rows,
-        "sparse_cells": sparse_rows,
     }
 
 

@@ -117,10 +117,10 @@ class Deployment:
         cached on the deployment: node ``v``'s neighbors are
         ``indices[indptr[v]:indptr[v+1]]``.
 
-        Every PHY bind — and, in particular, every replica of a batched
-        run (:mod:`repro.radio.replica`) — shares this one structure
-        instead of re-flattening the neighbor lists per simulator.  The
-        arrays are read-only for all consumers.
+        Every PHY bind — and, in particular, every replica of a
+        replicated run (:mod:`repro.radio.replica`) — shares this one
+        structure instead of re-flattening the neighbor lists per
+        simulator.  The arrays are read-only for all consumers.
         """
         if self._csr is None:
             n = self.n

@@ -107,8 +107,9 @@ def build_csr(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
     ``indices[indptr[v]:indptr[v+1]]``.
 
     Delegates to the deployment's cached :attr:`~repro.graphs.deployment.
-    Deployment.csr` property, so repeated binds — every simulator of a
-    replica batch, every lockstep pair — share one adjacency structure."""
+    Deployment.csr` property, so repeated binds — every replica of a
+    shared deployment, every lockstep pair — share one adjacency
+    structure."""
     return dep.csr
 
 
@@ -271,12 +272,8 @@ class PhyModel(ABC):
     #: short identifier used in scenario labels and CLI flags.
     name = "phy"
 
-    # Bind-time state.  The attribute layout below is a subclass
-    # contract, not an implementation detail: the partitioned PHYs
-    # (:mod:`repro.radio.partition`) scatter into ``_recv_count`` /
-    # ``_incoming`` / ``_transmitting`` through per-tile CSR sub-blocks
-    # and must observe exactly the persistent-across-slots,
-    # reset-sparsely discipline :meth:`bind` establishes.
+    # Bind-time state: persistent across slots, reset sparsely (see
+    # :meth:`bind`).
     sim: PhyHost
     _nodes: "Sequence[ProtocolNode]"
     _indptr: np.ndarray
@@ -493,8 +490,8 @@ class SinrPhy(PhyModel):
     The model consumes **no randomness** — geometry and the slot's
     transmission set decide everything — so every clause of the module
     determinism contract holds trivially, and composing ``loss_prob``
-    or block/sparse/partitioned execution changes nothing about which
-    signals decode.
+    or block-stepped execution changes nothing about which signals
+    decode.
     """
 
     name = "sinr"
@@ -540,8 +537,7 @@ class SinrPhy(PhyModel):
     def _touched(self, outbox: list[tuple[int, Message]]) -> list[int]:
         """Scatter transmissions onto graph neighbors, recording per
         listener *which* outbox rows touch it (``_recv_count`` holds the
-        counts).  Ascending listener order; the partitioned subclass
-        replaces only this discovery route."""
+        counts).  Ascending listener order."""
         recv_count = self._recv_count
         touching = self._touching
         indptr, indices = self._indptr, self._indices

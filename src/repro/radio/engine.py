@@ -67,7 +67,6 @@ changes three experiments later.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -84,9 +83,6 @@ from repro.radio.messages import Message
 from repro.radio.node import ProtocolNode
 from repro.radio.trace import TraceRecorder
 from repro._util import RngMeter
-
-if TYPE_CHECKING:
-    from repro.radio.partition import GridPartition
 
 __all__ = ["RadioSimulator", "SimulationResult", "build_csr"]
 
@@ -142,31 +138,6 @@ class RadioSimulator(SlotSteppedSimulator):
         Channel model resolving each slot's transmission set
         (:class:`~repro.radio.channel.PhyModel`); defaults to the paper's
         single-channel :class:`~repro.radio.channel.CollisionPhy`.
-    sparse:
-        Active-set sparse stepping (vectorized path only): instead of an
-        ``n``-wide uniform draw per slot, walk only the active columns
-        (``p > 0``) with scalar draws and ``advance`` over the gaps —
-        byte-identical to the dense stream by PCG64's counter semantics
-        (``random(n)`` consumes one 64-bit output per double, so the
-        lattice position of every (slot, node) variate is fixed).  Pays
-        off when the active set is much smaller than ``n`` (cold-start
-        windows, endgame tails); on dense activity the scalar walk is
-        slower than one bulk draw.  See docs/model.md for guidance.
-    partition:
-        Spatial domain decomposition (block-stepped path only): a
-        :class:`~repro.radio.partition.GridPartition` whose tiles scan
-        their own active columns over each constant-state span on
-        speculative generator clones, in parallel when
-        ``partition_workers > 1``.  The parent merges tile results
-        deterministically and advances the real stream by whole rows,
-        so results are byte-identical to the dense path at any worker
-        count.  Per-slot :meth:`step` ignores the partition (plain
-        vectorized stepping is already exact); pair with the partitioned
-        PHY from :func:`~repro.radio.partition.make_partitioned_phy` for
-        tile-local channel resolution.
-    partition_workers:
-        Worker processes for partitioned span scans; ``1`` (default)
-        scans tiles inline.
     """
 
     def __init__(
@@ -180,9 +151,6 @@ class RadioSimulator(SlotSteppedSimulator):
         loss_prob: float = 0.0,
         vectorized: bool | None = None,
         phy: PhyModel | None = None,
-        sparse: bool = False,
-        partition: GridPartition | None = None,
-        partition_workers: int = 1,
     ) -> None:
         n = deployment.n
         if len(nodes) != n:
@@ -219,7 +187,6 @@ class RadioSimulator(SlotSteppedSimulator):
         self.phy.bind(self)
 
         self.slot = 0
-        self._neighbors = deployment.neighbors
         # Wake order: nodes grouped by wake slot for O(1) wake processing.
         order = np.argsort(self.wake_slots, kind="stable")
         self._wake_order = order
@@ -242,17 +209,6 @@ class RadioSimulator(SlotSteppedSimulator):
             )
         else:
             self.vectorized = bool(vectorized)
-        if (sparse or partition is not None) and not self.vectorized:
-            raise ValueError(
-                "sparse stepping and partitioned execution require the "
-                "vectorized fast path (every node must implement the "
-                "batched interface)"
-            )
-        if partition_workers < 1:
-            raise ValueError(f"partition_workers must be >= 1, got {partition_workers}")
-        self.sparse = bool(sparse)
-        self.partition = partition
-        self.partition_workers = int(partition_workers)
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)
@@ -275,14 +231,6 @@ class RadioSimulator(SlotSteppedSimulator):
             self._pa = np.empty(0, dtype=np.float64)
             self._active_gen = -1
             self._draw_buf: np.ndarray | None = None  # step_block segment buffer
-            # Sparse/partition caches, keyed on the state generation like
-            # the fire-candidate cache: the active columns as plain
-            # Python (node, probability) pairs for the scattered walk,
-            # and the same pairs grouped by owning tile for span scans.
-            self._scatter_cols: list[tuple[int, float]] = []
-            self._scatter_gen = -1
-            self._tile_cols: list[tuple[int, list[tuple[int, float]]]] = []
-            self._tile_gen = -1
             # Hot-path bound methods (the generator, bit generator, and
             # metrics object are fixed for the simulator's lifetime):
             # saves two attribute chains per slot on the per-slot path.
@@ -315,37 +263,6 @@ class RadioSimulator(SlotSteppedSimulator):
     def _on_deliver(self, u: int, msg: Message) -> None:
         """Core delivery hook: a delivery can change a node's state."""
         self._refresh(int(u))
-
-    def _scatter_fire(self) -> list[int]:
-        """One slot's transmit decisions via the scattered walk.
-
-        Visits the active columns in ascending node order: ``advance``
-        over the gap to each column's lattice position, one scalar
-        ``random()`` there, then a tail ``advance`` to the end of the
-        row.  Consumes exactly ``n`` stream positions and reads the
-        *same* uniform at every active column as the dense ``random(n)``
-        row would — byte-identity is structural, not statistical.  Not
-        metered (callers account the slot's ``n`` draws, matching the
-        dense paths)."""
-        if self._scatter_gen != self._gen:
-            self._scatter_cols = list(
-                zip(self._active.tolist(), self._pa.tolist())
-            )
-            self._scatter_gen = self._gen
-        rand = self._rand
-        advance = self._advance
-        pos = 0
-        fire: list[int] = []
-        for a, pa in self._scatter_cols:
-            if a > pos:
-                advance(a - pos)
-            if rand() < pa:
-                fire.append(a)
-            pos = a + 1
-        n = len(self.nodes)
-        if pos < n:
-            advance(n - pos)
-        return fire
 
     def _wake_due(self, t: int) -> None:
         """Phase 1: wake nodes whose wake slot is ``t``."""
@@ -420,33 +337,68 @@ class RadioSimulator(SlotSteppedSimulator):
             # meter accounting already applied above).
             self._advance(n)
             return []
-        if self.sparse:
-            outbox: list[tuple[int, Message]] = []
-            fired = self._scatter_fire()
-            if fired:
-                record_tx = self.core.record_tx
-                for v in fired:
-                    msg = nodes[v].emit(t)
-                    if msg is not None:
-                        record_tx(t, v, msg, outbox)
-            return outbox
         # Metered draw, with the proxy's dispatch inlined (this is the
         # hottest line of the per-slot path): identical stream, identical
         # draw accounting.
-        u = self._rand(n)
-        if active.size == n:
+        return self._emit(t, self._rand(n))
+
+    def _emit(self, t: int, u: np.ndarray) -> list[tuple[int, Message]]:
+        """The messages of the nodes whose uniform in ``u`` (slot ``t``'s
+        row, one per node) falls below their send probability, in
+        ascending node order."""
+        active = self._active
+        if active.size == len(self.nodes):
             fire = np.nonzero(u < self._p)[0]
         else:
             fire = active[u.take(active) < self._pa]
-        outbox = []
+        outbox: list[tuple[int, Message]] = []
         if fire.size:
+            nodes = self.nodes
             record_tx = self.core.record_tx
-            for v in fire:
-                v = int(v)
+            for v in fire.tolist():
                 msg = nodes[v].emit(t)
                 if msg is not None:
                     record_tx(t, v, msg, outbox)
         return outbox
+
+    def _fire_slot(
+        self, t: int, outbox: list[tuple[int, Message]], protocol_draws: int
+    ) -> None:
+        """Phases 3-4 of slot ``t``: resolve the transmissions, deliver,
+        and record the slot's channel metrics."""
+        core = self.core
+        loss0 = core.loss_draws
+        candidates = self.phy.resolve(t, outbox)
+        delivered, collided, lost = core.deliver(t, candidates)
+        self.trace.channel(
+            t,
+            tx=len(outbox),
+            rx=delivered,
+            collisions=collided,
+            lost=lost,
+            protocol_draws=protocol_draws,
+            loss_draws=core.loss_draws - loss0,
+        )
+
+    def _stop_in_span(
+        self,
+        t: int,
+        hi: int,
+        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
+        check_every: int,
+    ) -> int | None:
+        """The stop slot inside the empty span after ``t``, or ``None``.
+
+        State is frozen over an empty span, so one predicate evaluation
+        at the first check boundary in ``[t + 1, hi]`` stands for every
+        boundary the span covers."""
+        if stop_when is None or not self.all_woken:
+            return None
+        s = -((t + 1) // -check_every) * check_every
+        if s > hi:
+            return None
+        self.slot = s
+        return s if stop_when(self) else None
 
     def step(self) -> None:
         """Advance the network by one slot (and record its channel
@@ -467,38 +419,15 @@ class RadioSimulator(SlotSteppedSimulator):
                 # (the fire path below still goes through the slot-
                 # aligned trace.channel, which catches any drift).
                 self._append_metrics(0, 0, 0, 0, len(self.nodes), 0)
-                self.slot = t + 1
-                return
-            loss0 = self.core.loss_draws
-            candidates = self.phy.resolve(t, outbox)
-            delivered, collided, lost = self.core.deliver(t, candidates)
-            self.trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=len(self.nodes),
-                loss_draws=self.core.loss_draws - loss0,
-            )
+            else:
+                self._fire_slot(t, outbox, len(self.nodes))
             self.slot = t + 1
             return
         draws0 = self.rng.draws
-        loss0 = self.core.loss_draws
         if self._next_wake_slot <= t:
             self._wake_due(t)
         outbox = self._collect_classic(t)
-        candidates = self.phy.resolve(t, outbox)
-        delivered, collided, lost = self.core.deliver(t, candidates)
-        self.trace.channel(
-            t,
-            tx=len(outbox),
-            rx=delivered,
-            collisions=collided,
-            lost=lost,
-            protocol_draws=self.rng.draws - draws0,
-            loss_draws=self.core.loss_draws - loss0,
-        )
+        self._fire_slot(t, outbox, self.rng.draws - draws0)
         self.slot = t + 1
 
     # -- block-stepped execution (vectorized fast path only) -------------
@@ -538,11 +467,8 @@ class RadioSimulator(SlotSteppedSimulator):
         n = len(nodes)
         rng = self.rng
         trace = self.trace
-        core = self.core
-        phy = self.phy
         p = self._p
         evt = self._evt
-        record_tx = core.record_tx
         t = self.slot
         end = t + count
 
@@ -552,11 +478,6 @@ class RadioSimulator(SlotSteppedSimulator):
         hits_hi = t
         gen = -1  # state generation `hits` was computed at (forces a
         # recompute before first use)
-
-        def boundary(lo: int, hi: int) -> int | None:
-            """First stop-check slot counter in [lo, hi], or None."""
-            s = -(lo // -check_every) * check_every
-            return s if s <= hi else None
 
         while t < end:
             self.slot = t
@@ -578,12 +499,10 @@ class RadioSimulator(SlotSteppedSimulator):
                 gen = self._gen
                 hits = None
             active = self._active
-            ne = self._evt_min
-            nw = self._next_wake_slot
             # State is constant over [t, bound): no wake or scheduled
             # event falls strictly inside, so p/evt can only change at a
             # fire slot (via deliveries).
-            bound = min(nw, ne, end)
+            bound = min(self._next_wake_slot, self._evt_min, end)
             if bound <= t:
                 bound = t + 1  # a node left its event due; re-fires next slot
             # Uniforms for [t, bound): reuse the buffered segment, draw a
@@ -593,27 +512,14 @@ class RadioSimulator(SlotSteppedSimulator):
                 if active.size == 0:
                     # All-passive span: random() < 0.0 never holds, so
                     # consume the stream without generating.
-                    if stop_when is not None and self.all_woken:
-                        s = boundary(t + 1, bound)
-                        if s is not None:
-                            self.slot = s
-                            if stop_when(self):
-                                rng.skip((s - t) * n)
-                                trace.channel_empty(t, s - t, n)
-                                return True
+                    s = self._stop_in_span(t, bound, stop_when, check_every)
+                    if s is not None:
+                        rng.skip((s - t) * n)
+                        trace.channel_empty(t, s - t, n)
+                        return True
                     rng.skip(m * n)
                     trace.channel_empty(t, m, n)
                     t = bound
-                    continue
-                if self.partition is not None:
-                    t, stopped = self._partition_span(t, bound, stop_when, check_every)
-                    if stopped:
-                        return True
-                    continue
-                if self.sparse:
-                    t, stopped = self._sparse_span(t, bound, stop_when, check_every)
-                    if stopped:
-                        return True
                     continue
                 m = min(m, _DRAW_CHUNK)
                 buf = self._draw_buf
@@ -637,15 +543,11 @@ class RadioSimulator(SlotSteppedSimulator):
             else:
                 f = int(hits[0])
             if f > t:
-                # Empty span [t, f): state frozen, so one predicate
-                # evaluation covers every check boundary inside it.
-                if stop_when is not None and self.all_woken:
-                    s = boundary(t + 1, f)
-                    if s is not None:
-                        self.slot = s
-                        if stop_when(self):
-                            trace.channel_empty(t, s - t, n)
-                            return True
+                # Empty span [t, f).
+                s = self._stop_in_span(t, f, stop_when, check_every)
+                if s is not None:
+                    trace.channel_empty(t, s - t, n)
+                    return True
                 trace.channel_empty(t, f - t, n)
                 t = f
                 if f == lim:
@@ -654,29 +556,7 @@ class RadioSimulator(SlotSteppedSimulator):
                     continue
                 self.slot = t
             # Full per-slot machinery for the fire slot t.
-            loss0 = core.loss_draws
-            urow = U[t - seg_lo]
-            if active.size == n:
-                fire = np.nonzero(urow < p)[0]
-            else:
-                fire = active[urow[active] < self._pa]
-            outbox: list[tuple[int, Message]] = []
-            for v in fire:
-                v = int(v)
-                msg = nodes[v].emit(t)
-                if msg is not None:
-                    record_tx(t, v, msg, outbox)
-            candidates = phy.resolve(t, outbox)
-            delivered, collided, lost = core.deliver(t, candidates)
-            trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=n,
-                loss_draws=core.loss_draws - loss0,
-            )
+            self._fire_slot(t, self._emit(t, U[t - seg_lo]), n)
             t += 1
             self.slot = t
             hits = hits[1:]
@@ -689,217 +569,3 @@ class RadioSimulator(SlotSteppedSimulator):
                 return True
         self.slot = end
         return False
-
-    # -- sparse / partitioned span execution ------------------------------
-    def _sparse_span(
-        self,
-        t: int,
-        bound: int,
-        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
-        check_every: int,
-    ) -> tuple[int, bool]:
-        """Walk the constant-state span ``[t, bound)`` with scattered
-        draws; returns ``(next_slot, stopped)``.
-
-        Per slot this consumes exactly ``n`` stream positions (gap
-        advances + scalar draws + tail advance), so the generator tracks
-        the dense path position-for-position — including across early
-        stops, where the dense segment draw over-advances but this path
-        does not (both are within contract: generator position after a
-        stop is unobservable, see :meth:`step_block`).  Empty runs are
-        flushed as one bulk metrics append; the stop predicate is
-        state-only and the state is frozen between fires, so its value is
-        evaluated once per run and cached.  Returns to :meth:`step_block`
-        after any fire that changed the state generation so the span
-        bound and candidate caches are rebuilt.
-        """
-        n = len(self.nodes)
-        nodes = self.nodes
-        rng = self.rng
-        trace = self.trace
-        core = self.core
-        phy = self.phy
-        record_tx = core.record_tx
-        check = stop_when is not None and self.all_woken
-        run_start = t
-        stop_val: bool | None = None
-        while t < bound:
-            rng.calls += 1
-            rng.draws += n
-            fire = self._scatter_fire()
-            if not fire:
-                t += 1
-                if check and t % check_every == 0:
-                    if stop_val is None:
-                        self.slot = t
-                        assert stop_when is not None
-                        stop_val = bool(stop_when(self))
-                    if stop_val:
-                        trace.channel_empty(run_start, t - run_start, n)
-                        self.slot = t
-                        return t, True
-                continue
-            if t > run_start:
-                trace.channel_empty(run_start, t - run_start, n)
-            self.slot = t
-            loss0 = core.loss_draws
-            outbox: list[tuple[int, Message]] = []
-            for v in fire:
-                msg = nodes[v].emit(t)
-                if msg is not None:
-                    record_tx(t, v, msg, outbox)
-            candidates = phy.resolve(t, outbox)
-            delivered, collided, lost = core.deliver(t, candidates)
-            trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=n,
-                loss_draws=core.loss_draws - loss0,
-            )
-            t += 1
-            self.slot = t
-            if (
-                stop_when is not None
-                and self.all_woken
-                and t % check_every == 0
-                and stop_when(self)
-            ):
-                return t, True
-            if self._active_gen != self._gen:
-                # Deliveries moved the state: the span bound and the
-                # fire-candidate caches are stale — rebuild upstream.
-                return t, False
-            run_start = t
-            stop_val = None
-        if t > run_start:
-            trace.channel_empty(run_start, t - run_start, n)
-        self.slot = t
-        return t, False
-
-    def _partition_span(
-        self,
-        t: int,
-        bound: int,
-        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
-        check_every: int,
-    ) -> tuple[int, bool]:
-        """Scan the constant-state span ``[t, bound)`` tile-by-tile;
-        returns ``(next_slot, stopped)``.
-
-        Each tile's active columns are walked by :func:`~repro.radio.
-        partition.scan_tile` on a *clone* of the protocol stream
-        positioned at the span start (dispatched to worker processes when
-        ``partition_workers > 1``); the clones read the same lattice
-        positions the dense row draws would occupy, so the merged result
-        — minimum fire offset across tiles, firing columns in ascending
-        node order — is byte-identical to the dense path at any worker
-        count.  The parent generator only ever advances by whole rows
-        (``rng.skip``): the silent prefix plus, when a tile fired, the
-        fire row itself.  Tiles that fired later than the minimum are
-        discarded and rescanned on the next call (fires are rare in the
-        regimes where partitioning pays off).
-        """
-        n = len(self.nodes)
-        nodes = self.nodes
-        rng = self.rng
-        trace = self.trace
-        core = self.core
-        phy = self.phy
-        part = self.partition
-        assert part is not None
-        from repro.radio.partition import scan_tile
-
-        if self._tile_gen != self._gen:
-            groups: dict[int, list[tuple[int, float]]] = {}
-            tof = part.tile_of
-            for a, pa, tid in zip(
-                self._active.tolist(),
-                self._pa.tolist(),
-                tof[self._active].tolist(),
-            ):
-                groups.setdefault(tid, []).append((a, pa))
-            self._tile_cols = sorted(groups.items())
-            self._tile_gen = self._gen
-        count = bound - t
-        state = rng.generator.bit_generator.state
-        tasks = [(state, cols, count, n) for _, cols in self._tile_cols]
-        if self.partition_workers > 1 and len(tasks) > 1:
-            from repro.experiments.parallel import run_tasks
-
-            results = run_tasks(scan_tile, tasks, workers=self.partition_workers)
-        else:
-            results = [scan_tile(*task) for task in tasks]
-        hits = [r for r in results if r is not None]
-        check = stop_when is not None and self.all_woken
-        if not hits:
-            # Whole span silent in every tile: identical bookkeeping to
-            # the all-passive skip path.
-            if check:
-                s = _stop_boundary(t + 1, bound, check_every)
-                if s is not None:
-                    self.slot = s
-                    assert stop_when is not None
-                    if stop_when(self):
-                        rng.skip((s - t) * n)
-                        trace.channel_empty(t, s - t, n)
-                        return s, True
-            rng.skip(count * n)
-            trace.channel_empty(t, count, n)
-            return bound, False
-        s_rel = min(h[0] for h in hits)
-        f = t + s_rel
-        if s_rel > 0:
-            # Empty prefix [t, f): state frozen, one predicate
-            # evaluation covers every check boundary inside it.
-            if check:
-                s = _stop_boundary(t + 1, f, check_every)
-                if s is not None:
-                    self.slot = s
-                    assert stop_when is not None
-                    if stop_when(self):
-                        rng.skip((s - t) * n)
-                        trace.channel_empty(t, s - t, n)
-                        return s, True
-            trace.channel_empty(t, s_rel, n)
-        # Clone draws are speculative; the authoritative stream advances
-        # by whole rows only — the silent prefix plus the fire row.
-        rng.skip((s_rel + 1) * n)
-        fire = sorted(a for h in hits if h[0] == s_rel for a in h[1])
-        self.slot = f
-        loss0 = core.loss_draws
-        outbox: list[tuple[int, Message]] = []
-        record_tx = core.record_tx
-        for v in fire:
-            msg = nodes[v].emit(f)
-            if msg is not None:
-                record_tx(f, v, msg, outbox)
-        candidates = phy.resolve(f, outbox)
-        delivered, collided, lost = core.deliver(f, candidates)
-        trace.channel(
-            f,
-            tx=len(outbox),
-            rx=delivered,
-            collisions=collided,
-            lost=lost,
-            protocol_draws=n,
-            loss_draws=core.loss_draws - loss0,
-        )
-        t = f + 1
-        self.slot = t
-        if (
-            stop_when is not None
-            and self.all_woken
-            and t % check_every == 0
-            and stop_when(self)
-        ):
-            return t, True
-        return t, False
-
-
-def _stop_boundary(lo: int, hi: int, every: int) -> int | None:
-    """First stop-check slot counter in ``[lo, hi]``, or ``None``."""
-    s = -(lo // -every) * every
-    return s if s <= hi else None

@@ -1,48 +1,24 @@
-"""Cross-replica batched execution of one scenario under many seeds.
+"""Many seeds of one coloring scenario over one shared deployment.
 
 The paper's headline experiments (the "smaller constants suffice" sweep
 E6, the unaligned/lossy grid E13, the failure-rate estimates of E15/E17)
 all run R independent replicas of the *same* scenario — one deployment,
 one wake schedule, one parameter set — varying only the simulation seed.
-Run solo, each replica rebuilds the adjacency CSR, re-sorts the wake
-schedule, and re-allocates the segment draw buffer, and each advances on
-its own through long spans the replicas share structurally.
 
-:class:`ReplicaBatchSimulator` adds a replica axis to the vectorized
-engine instead: R simulators are constructed over **shared** structure —
-one deployment with its cached CSR adjacency (:attr:`~repro.graphs.
-deployment.Deployment.csr`), one wake schedule, one parameter object,
-one segment draw buffer — and their per-node firing probabilities and
-scheduled event slots live as rows of two ``(R, n)`` tensors, so the
-batch's engine state is two dense arrays rather than R scattered copies.
-One :meth:`~ReplicaBatchSimulator.run` drives all replicas through the
-block-stepped fast path span by span: within a span every live replica
-advances with a few numpy segment operations (one segment draw, one
-fire-candidate comparison, bulk empty-metrics appends — see
-:meth:`~repro.radio.engine.RadioSimulator.step_block`), never a Python
-loop over slots.
+:func:`run_replicated` is a seed loop over that shared scenario: one
+per-seed simulator per replica, built by
+:func:`~repro.core.protocol.build_simulator` over the one deployment
+(whose cached CSR adjacency, :attr:`~repro.graphs.deployment.Deployment.
+csr`, every PHY bind reuses), each run to completion on the block-stepped
+fast path before the next starts.
 
-Determinism contract (the replica axis of DESIGN.md §5):
-
-- **Stream spawning.**  Replica ``r``'s protocol stream is
-  ``spawn_generator(seeds[r], 0xC0108)`` — exactly the stream
-  :func:`~repro.core.protocol.run_coloring` uses for ``seed=seeds[r]`` —
-  and its child spawn order (loss stream first, PHY side stream second)
-  is per replica and identical to solo construction.  Replica ``r`` of a
-  batched run is therefore **byte-identical** to the solo run with that
-  seed: same colors, same slot counts, same per-slot channel metrics
-  including the per-stream draw columns.  The conform REPLICA_MATRIX
-  cells pin this.
-- **Early-finish isolation.**  A replica whose completion predicate
-  holds leaves the live set at its exact stop slot; subsequent spans
-  never touch its generator, trace, or nodes — finishing early can
-  neither advance nor meter the streams of still-running replicas
-  (each replica *owns* its stream; there is no shared generator to
-  misattribute draws to).
-- **Shared draw buffer.**  Replicas advance strictly sequentially
-  within each span, and the engine refills the buffer before every
-  segment use, so sharing one ``(chunk, n)`` buffer across replicas is
-  invisible to results.
+Determinism contract (the replica axis of DESIGN.md §5): replica ``r``'s
+protocol stream is ``spawn_generator(seeds[r], 0xC0108)`` — exactly the
+stream :func:`~repro.core.protocol.run_coloring` uses for
+``seed=seeds[r]`` — so replica ``r`` is **byte-identical** to the solo
+run with that seed: same colors, same slot count, same per-slot channel
+metrics including the per-stream draw columns.  Each replica owns its
+simulator and streams, so replicas cannot touch each other's state.
 """
 
 from __future__ import annotations
@@ -56,15 +32,14 @@ from repro.core.params import Parameters, suggested_max_slots
 from repro.core.protocol import ColoringResult, build_simulator
 from repro.core.strategy import ColoringProtocol, resolve_protocol
 from repro.graphs.deployment import Deployment
-from repro.radio.channel import PhyModel, SimulationResult, SlotSteppedSimulator
-from repro.radio.engine import _DRAW_CHUNK, _FAR, RadioSimulator
-from repro.radio.trace import TraceRecorder
+from repro.radio.channel import PhyModel, SimulationResult
+from repro.radio.engine import RadioSimulator
 
 __all__ = ["ReplicaBatchSimulator", "run_replicated"]
 
 
 class ReplicaBatchSimulator:
-    """R vectorized simulators of one scenario, driven as a batch.
+    """R vectorized simulators of one scenario, one per seed.
 
     Parameters
     ----------
@@ -80,15 +55,14 @@ class ReplicaBatchSimulator:
         ``run_coloring(..., seed=seeds[r])`` byte for byte.
     node_cls:
         Node implementation; must implement the batched interface
-        (``tx_prob``/``next_event_slot``/``on_event``/``emit``) — the
-        replica axis exists on the vectorized fast path only.  Defaults
-        to the protocol's vectorized node class.
+        (``tx_prob``/``next_event_slot``/``on_event``/``emit``), since
+        replicas run on the vectorized fast path.  Defaults to the
+        protocol's vectorized node class.
 
     Other keyword arguments mirror :func:`~repro.core.protocol.
     run_coloring` (``trace_level``, ``enforce_message_bits``,
-    ``loss_prob``, ``per_node_params``, ``channels``, ``sparse`` —
-    with ``sparse=True`` every replica steps on the active-set sparse
-    path, still byte-identical to its solo run).
+    ``loss_prob``, ``per_node_params``, ``channels``, ``protocol``,
+    ``phy``).
     """
 
     def __init__(
@@ -104,7 +78,6 @@ class ReplicaBatchSimulator:
         node_cls: type[ColoringNode] | None = None,
         per_node_params: list[Parameters] | None = None,
         channels: int = 1,
-        sparse: bool = False,
         protocol: ColoringProtocol | str | None = None,
         phy: PhyModel | str | None = None,
     ) -> None:
@@ -115,125 +88,49 @@ class ReplicaBatchSimulator:
             node_cls = self.protocol.node_cls(vectorized=True)
         if phy is not None and not isinstance(phy, str):
             raise ValueError(
-                "replica batching binds one PHY per replica; pass the phy "
-                "by name, not as a shared instance"
+                "every replica binds its own PHY; pass the phy by name, "
+                "not as a shared instance"
             )
-        self.deployment = dep
-        self.params = params
-        self.seeds = [int(s) for s in seeds]
-        r_count, n = len(self.seeds), dep.n
-        # Build the shared CSR once so every PHY bind below reuses it.
-        if n:
-            dep.csr
-        #: (R, n) firing probabilities — row r is replica r's live engine
-        #: state (the simulators' ``_p`` vectors are views into it).
-        self.P = np.zeros((r_count, n), dtype=np.float64)
-        #: (R, n) next scheduled event slots, same row-view layout.
-        self.EVT = np.full((r_count, n), _FAR, dtype=np.int64)
         self.sims: list[RadioSimulator] = []
         self.node_lists: list[list[ColoringNode]] = []
-        draw_buf = np.empty((_DRAW_CHUNK, n), dtype=np.float64)
-        for r, seed in enumerate(self.seeds):
+        for seed in seeds:
             sim, nodes = build_simulator(
                 dep,
                 params,
                 wake_slots,
-                seed=seed,
+                seed=int(seed),
                 trace_level=trace_level,
                 enforce_message_bits=enforce_message_bits,
                 loss_prob=loss_prob,
                 node_cls=node_cls,
                 per_node_params=per_node_params,
                 channels=channels,
-                sparse=sparse,
                 protocol=self.protocol,
                 phy=phy,
             )
-            assert isinstance(sim, RadioSimulator)
             if not sim.vectorized:
                 raise ValueError(
-                    "replica batching requires a batched node_cls "
-                    "(tx_prob/next_event_slot/on_event/emit), got "
+                    "replicas run on the vectorized fast path: need a batched "
+                    "node_cls (tx_prob/next_event_slot/on_event/emit), got "
                     f"{node_cls.__name__}"
                 )
-            # Re-home the replica's dense state into the batch tensors
-            # (views, not copies: the engine keeps writing through them)
-            # and share the one segment draw buffer — replicas advance
-            # strictly sequentially, and segments are refilled before
-            # every use, so the buffer carries no cross-replica state.
-            self.P[r] = sim._p
-            self.EVT[r] = sim._evt
-            sim._p = self.P[r]
-            sim._evt = self.EVT[r]
-            sim._draw_buf = draw_buf
             self.sims.append(sim)
             self.node_lists.append(nodes)
 
-    @property
-    def replicas(self) -> int:
-        """Number of replicas in the batch."""
-        return len(self.sims)
-
-    def color_matrix(self) -> np.ndarray:
-        """(R, n) decided colors so far (UNDECIDED where undecided),
-        gathered from the per-replica traces."""
-        return np.stack([sim.trace.decide_color for sim in self.sims])
-
-    def decide_slot_matrix(self) -> np.ndarray:
-        """(R, n) decision slots so far (-1 where undecided)."""
-        return np.stack([sim.trace.decide_slot for sim in self.sims])
-
     def run(self, max_slots: int, *, block: int = 4096) -> list[SimulationResult]:
-        """Advance every replica to completion or ``max_slots``.
-
-        Each replica's completion predicate (the protocol's
-        :meth:`~repro.core.strategy.ColoringProtocol.completed`; for
-        ``mw05`` the O(1) ``trace.decided`` counter) is checked every
-        slot, so each stops at — and reports — its exact completion
-        slot, just like the solo run loop.  Replicas are advanced span
-        by span (``block`` slots at a time) through the block-stepped
-        fast path; a replica that stops leaves the live set immediately.
-        """
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
+        """Run every replica, one after another, to completion or
+        ``max_slots`` — each exactly as :func:`~repro.core.protocol.
+        run_coloring` runs it, stopping at its exact completion slot."""
         proto = self.protocol
-        stops = []
-        for sim, nodes in zip(self.sims, self.node_lists):
-            trace = sim.trace
-
-            def stop(
-                s: SlotSteppedSimulator,
-                trace: TraceRecorder = trace,
-                nodes: list[ColoringNode] = nodes,
-            ) -> bool:
-                return proto.completed(trace, nodes)
-
-            stops.append(stop)
-        results: list[SimulationResult | None] = [None] * self.replicas
-        live = list(range(self.replicas))
-        t = 0
-        while live and t < max_slots:
-            chunk = min(block, max_slots - t)
-            still: list[int] = []
-            for r in live:
-                sim = self.sims[r]
-                if sim.step_block(chunk, stops[r], check_every=1):
-                    results[r] = SimulationResult(
-                        slots=sim.slot, stopped_early=True, trace=sim.trace
-                    )
-                else:
-                    still.append(r)
-            live = still
-            t += chunk
-        # Budget exhausted: mirror SlotSteppedSimulator.run's final check
-        # (completion exactly at the budget boundary still counts).
-        for r in live:
-            sim = self.sims[r]
-            stopped = sim.all_woken and stops[r](sim)
-            results[r] = SimulationResult(
-                slots=sim.slot, stopped_early=stopped, trace=sim.trace
+        return [
+            sim.run(
+                max_slots,
+                stop_when=lambda s, nodes=nodes: proto.completed(s.trace, nodes),
+                check_every=proto.check_every,
+                block=block,
             )
-        return [res for res in results if res is not None]
+            for sim, nodes in zip(self.sims, self.node_lists)
+        ]
 
 
 def run_replicated(
@@ -250,23 +147,20 @@ def run_replicated(
     per_node_params: list[Parameters] | None = None,
     channels: int = 1,
     block: int = 4096,
-    sparse: bool = False,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> list[ColoringResult]:
-    """Run R replicas of one coloring scenario as a batch.
+    """Run R replicas of one coloring scenario, one seed after another.
 
     Returns one :class:`~repro.core.protocol.ColoringResult` per seed,
     each byte-identical (colors, slot count, per-slot channel metrics)
     to ``run_coloring(dep, params, wake_slots, seed=seeds[r],
-    node_cls=node_cls, ...)`` — the replica axis changes *how* the runs
-    execute, never *what* they compute.  Defaults mirror
+    node_cls=node_cls, block=block, ...)``.  Defaults mirror
     :func:`~repro.core.protocol.run_coloring`, except ``node_cls``
     defaults to the protocol's *vectorized* node class (the batched
     :class:`~repro.core.vector_node.BernoulliColoringNode` for both
-    shipped protocols — the replica axis exists on the vectorized fast
-    path only).  ``protocol`` / ``phy`` select the strategy and channel
-    model exactly as in ``run_coloring``.
+    shipped protocols) and ``block`` to 4096.  ``protocol`` / ``phy``
+    select the strategy and channel model exactly as in ``run_coloring``.
     """
     if dep.n == 0:
         raise ValueError("cannot color an empty deployment")
@@ -283,7 +177,6 @@ def run_replicated(
         node_cls=node_cls,
         per_node_params=per_node_params,
         channels=channels,
-        sparse=sparse,
         protocol=protocol,
         phy=phy,
     )

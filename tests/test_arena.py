@@ -35,9 +35,8 @@ class TestArenaMatrixShape:
         assert ("mis", "multichannel") in pairings
         assert ("mis", "sinr") in pairings
 
-    def test_mis_exercised_on_blocked_and_replica_paths(self):
+    def test_mis_exercised_on_blocked_path(self):
         assert any(s.protocol == "mis" and s.block > 1 for s in ARENA_MATRIX)
-        assert any(s.protocol == "mis" and s.replicas > 1 for s in ARENA_MATRIX)
 
     def test_labels_and_replay_args_name_the_protocol(self):
         for s in ARENA_MATRIX:

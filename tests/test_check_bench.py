@@ -6,7 +6,7 @@ generated by an older schema — must fail CI with a message naming the
 offending field, not die with a ``KeyError`` traceback that points at
 the checker instead of the baseline.  These tests drive the committed-
 baseline gates on synthetic payloads covering the happy path, every
-malformation class, and the sparse-cell perf gates.
+malformation class, and the replica-cell perf gates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.experiments.engine_bench import (  # noqa: E402
     CELLS,
     REPLICA_CELLS,
     SCHEMA_VERSION,
-    SPARSE_CELLS,
 )
 from dataclasses import asdict  # noqa: E402
 
@@ -66,18 +65,10 @@ def _good_payload() -> dict:
             speedup_vs_sequential_blocked=2.0,
         )
         replica_cells.append(row)
-    sparse_cells = []
-    for scell in SPARSE_CELLS:
-        row = dict(asdict(scell))
-        row.update(sparse_s=0.1, sparse_slots_per_s=1.0, tx_total=50)
-        if scell.dense_baseline:
-            row.update(blocked_s=1.0, speedup_sparse_vs_blocked=10.0)
-        sparse_cells.append(row)
     return {
         "schema": SCHEMA_VERSION,
         "cells": cells,
         "replica_cells": replica_cells,
-        "sparse_cells": sparse_cells,
     }
 
 
@@ -86,7 +77,6 @@ def _check(payload: dict) -> list[str]:
         payload,
         committed_speedup_floor=1.5,
         replica_speedup_floor=5.0,
-        sparse_speedup_floor=3.0,
     )
 
 
@@ -127,9 +117,9 @@ def test_wrong_typed_field_names_the_field_and_value():
 
 def test_non_object_row_is_a_named_failure():
     payload = _good_payload()
-    payload["sparse_cells"][0] = "oops"
+    payload["replica_cells"][0] = "oops"
     errors = _check(payload)
-    assert any("sparse_cells[0]" in e for e in errors), errors
+    assert any("replica_cells[0]" in e for e in errors), errors
 
 
 def test_rows_field_of_wrong_type_is_a_named_failure():
@@ -139,33 +129,27 @@ def test_rows_field_of_wrong_type_is_a_named_failure():
     assert any("'replica_cells'" in e for e in errors), errors
 
 
-def test_missing_sparse_cell_fails():
+def test_missing_replica_cell_fails():
     payload = _good_payload()
-    payload["sparse_cells"] = payload["sparse_cells"][:-1]
+    payload["replica_cells"] = payload["replica_cells"][:-1]
     errors = _check(payload)
-    missing_n = SPARSE_CELLS[-1].n
-    assert any(f"n={missing_n}" in e and "sparse" in e for e in errors), errors
+    missing_r = REPLICA_CELLS[-1].replicas
+    assert any(f"R={missing_r}" in e and "replica" in e for e in errors), errors
 
 
-def test_sparse_speedup_below_floor_fails():
+def test_replica_speedup_below_floor_fails():
     payload = _good_payload()
-    payload["sparse_cells"][0]["speedup_sparse_vs_blocked"] = 2.5
+    payload["replica_cells"][0]["speedup_vs_sequential_classic"] = 2.5
     errors = _check(payload)
-    assert any("sparse-vs-blocked" in e and "2.50x" in e for e in errors), errors
-
-
-def test_sparse_cell_with_zero_tx_fails():
-    """The committed-only 1M scale proof must show real activity."""
-    payload = _good_payload()
-    payload["sparse_cells"][-1]["tx_total"] = 0
-    errors = _check(payload)
-    assert any("no" in e and "transmissions" in e for e in errors), errors
+    assert any(
+        "batched-vs-sequential-classic" in e and "2.50x" in e for e in errors
+    ), errors
 
 
 def test_cell_definition_drift_fails():
     """A baseline generated from stale cell definitions is rejected."""
     payload = _good_payload()
-    payload["sparse_cells"][0]["wake_window_mult"] = 123
+    payload["cells"][0]["wake_window_mult"] = 123
     errors = _check(payload)
     assert any("does not match the code's cell definition" in e for e in errors)
 
@@ -191,12 +175,11 @@ def test_committed_file_passes_skip_run():
 
 
 @pytest.mark.parametrize("floor,expect_fail", [(3.0, False), (1000.0, True)])
-def test_sparse_floor_is_tunable(floor, expect_fail):
+def test_replica_floor_is_tunable(floor, expect_fail):
     payload = _good_payload()
     errors = check_bench.check_committed(
         payload,
         committed_speedup_floor=1.5,
-        replica_speedup_floor=5.0,
-        sparse_speedup_floor=floor,
+        replica_speedup_floor=floor,
     )
     assert bool(errors) == expect_fail

@@ -92,10 +92,9 @@ class TestConform:
         rc = main(["conform", "--quick"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        # 9 cells: classic-vs-vectorized x4, per-slot-vs-blocked x1,
-        # the sparse-stepping and partitioned-execution CI cells, plus
-        # the SINR-PHY and mis-protocol smoke cells.
-        assert "9/9 scenarios conform" in out
+        # 7 cells: classic-vs-vectorized x4, per-slot-vs-blocked x1,
+        # plus the SINR-PHY and mis-protocol smoke cells.
+        assert "7/7 scenarios conform" in out
 
     def test_injected_bug_exits_nonzero_with_report(self, capsys):
         rc = main(["conform", "--quick", "--inject-bug"])

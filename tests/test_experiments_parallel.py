@@ -276,93 +276,3 @@ class TestTableCsvFormatting:
         agg = aggregate([{"x": 1.0}, {"x": 3.0}], "x")
         assert agg == {"mean": 2.0, "max": 3.0}
 
-
-def _mul(a, b):
-    return a * b
-
-
-def _exit_in_worker(parent_pid, x):
-    # Dies only on worker processes so a platform falling back to the
-    # in-process path cannot take the test runner down with it.
-    if os.getpid() != parent_pid:
-        os._exit(5)
-    return x
-
-
-def _raise_on_three(x):
-    if x == 3:
-        raise KeyError("task three is broken")
-    return x
-
-
-class TestRunTasks:
-    """run_tasks: the partitioned engine's in-step work distributor."""
-
-    def test_results_in_task_order_for_any_worker_count(self):
-        from repro.experiments.parallel import run_tasks
-
-        tasks = [(i, i + 1) for i in range(8)]
-        expected = [_mul(*t) for t in tasks]
-        for workers in (1, 2, 4):
-            assert run_tasks(_mul, tasks, workers=workers) == expected
-
-    def test_partitioned_simulation_invariant_to_worker_count(self):
-        # The real consumer: per-tile span scans of a partitioned run.
-        # Any partition_workers value must leave every byte of the
-        # trajectory unchanged — colors, slots, and all six metric
-        # columns.
-        import numpy as np
-
-        from repro.core import BernoulliColoringNode
-        from repro.core.protocol import run_coloring
-        from repro.graphs import random_udg
-
-        dep = random_udg(16, expected_degree=5, seed=2, connected=True)
-        runs = [
-            run_coloring(
-                dep,
-                seed=4,
-                node_cls=BernoulliColoringNode,
-                block=64,
-                partitions=4,
-                partition_workers=w,
-            )
-            for w in (1, 2, 4)
-        ]
-        base = runs[0]
-        assert base.completed and base.proper
-        for other in runs[1:]:
-            assert other.slots == base.slots
-            assert np.array_equal(other.colors, base.colors)
-            assert (
-                other.trace.channel_metrics.totals()
-                == base.trace.channel_metrics.totals()
-            )
-
-    def test_crashed_worker_raises_named_error(self):
-        from repro.experiments.parallel import WorkerCrashError, run_tasks
-
-        fn = partial(_exit_in_worker, os.getpid())
-        with pytest.raises(WorkerCrashError, match=r"task \d+ of 4"):
-            run_tasks(fn, [(i,) for i in range(4)], workers=2)
-        # The broken pool was evicted: the next call gets a fresh pool
-        # and succeeds.
-        assert run_tasks(_mul, [(2, 3), (4, 5)], workers=2) == [6, 20]
-
-    def test_fn_exception_propagates_unchanged(self):
-        from repro.experiments.parallel import run_tasks
-
-        for workers in (1, 2):
-            with pytest.raises(KeyError, match="task three"):
-                run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=workers)
-
-    def test_unpicklable_fn_runs_in_process(self):
-        from repro.experiments.parallel import run_tasks
-
-        assert run_tasks(lambda x: x + 1, [(1,), (2,)], workers=4) == [2, 3]
-
-    def test_bad_worker_count_rejected(self):
-        from repro.experiments.parallel import run_tasks
-
-        with pytest.raises(ValueError, match="workers"):
-            run_tasks(_mul, [(1, 2)], workers=-2)

@@ -1,24 +1,18 @@
-"""Cross-replica batched execution: byte-identity with solo runs.
+"""Replicated runs over one shared deployment: byte-identity with solo runs.
 
-:mod:`repro.radio.replica` promises that replica ``r`` of a batched run
-is **byte-identical** to the solo run with ``seed=seeds[r]`` — same
-colors, same exact stop slot, same per-slot channel metrics (all six
-columns, including the per-stream draw counters), and the same raw
+:mod:`repro.radio.replica` promises that replica ``r`` of a
+:func:`~repro.radio.replica.run_replicated` call is **byte-identical**
+to the solo run with ``seed=seeds[r]`` — same colors, same exact stop
+slot, same per-slot channel metrics (all six columns, including the
+per-stream draw counters), and the same raw
 :class:`~repro._util.RngMeter` state on the protocol stream.  These
-tests check the promise the direct way, plus the two failure modes the
-batch driver could introduce on its own:
-
-- **Early-finish isolation** (the R>1 stop-predicate/PCG64-skip audit):
-  a replica that completes early must not advance or meter the streams
-  of still-running replicas.  We pin each replica's exact
-  ``rng.draws``/``rng.calls`` against its solo run on a staggered-wake
-  scenario where completion slots genuinely differ.
-- **Shared draw-buffer aliasing**: replicas share one segment draw
-  buffer; sharing must be invisible to results.
-
-The conformance matrix (``REPLICA_MATRIX``) pins specific scenarios at
-level-2 event granularity; the Hypothesis property here walks random
-deployments, seeds, loss rates, and channel counts.
+tests check the promise the direct way, plus **early-finish
+isolation**: a replica that completes early must not advance or meter
+the streams of still-running replicas.  We pin each replica's exact
+``rng.draws``/``rng.calls`` against its solo run on a staggered-wake
+scenario where completion slots genuinely differ.  The Hypothesis
+property walks random deployments, seeds, loss rates, and channel
+counts.
 """
 
 from __future__ import annotations
@@ -201,13 +195,13 @@ class TestGoldenTenReplicaBatch:
         assert [sim.rng.draws for sim in batch.sims] == self.DRAWS
 
     def test_color_counts(self, batch):
-        colors = batch.color_matrix()
+        colors = np.stack([sim.trace.decide_color for sim in batch.sims])
         assert colors.shape == (10, 20)
         assert (colors >= 0).all()
         assert [len(set(row.tolist())) for row in colors] == self.COLORS
 
     def test_decide_slot_matrix(self, batch):
-        decided = batch.decide_slot_matrix()
+        decided = np.stack([sim.trace.decide_slot for sim in batch.sims])
         assert decided.shape == (10, 20)
         assert (decided >= 0).all()
         assert [int(row.max()) for row in decided] == [s - 1 for s in self.SLOTS]
@@ -288,14 +282,3 @@ class TestValidation:
         batch = ReplicaBatchSimulator(dep, params, wake, seeds=[1])
         with pytest.raises(ValueError, match="block"):
             batch.run(10, block=0)
-
-    def test_state_tensors_are_views(self):
-        """The (R, n) tensors are the replicas' live engine state, not
-        snapshots: each simulator's dense vectors alias the batch rows."""
-        dep, params, wake = _world(n=8, wake_window=0)
-        batch = ReplicaBatchSimulator(dep, params, wake, seeds=[1, 2])
-        assert batch.P.shape == (2, 8) and batch.EVT.shape == (2, 8)
-        for r, sim in enumerate(batch.sims):
-            assert sim._p.base is batch.P
-            assert sim._evt.base is batch.EVT
-            assert np.shares_memory(sim._p, batch.P[r])

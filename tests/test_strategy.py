@@ -29,6 +29,7 @@ from repro.core.strategy import (
 )
 from repro.core.protocol import run_coloring
 from repro.graphs import random_udg
+from repro.radio.replica import run_replicated
 
 
 class TestRegistry:
@@ -113,7 +114,9 @@ class TestMisProtocol:
 
     def test_runs_on_sinr_block_and_replica_paths(self):
         dep = random_udg(24, expected_degree=6.0, seed=13)
-        for kwargs in ({"phy": "sinr"}, {"block": 32}, {"sparse": True}):
+        for kwargs in ({"phy": "sinr"}, {"block": 32}):
             res = run_coloring(dep, seed=13, protocol="mis", **kwargs)
             assert res.completed, kwargs
             assert res.protocol == "mis"
+        (res,) = run_replicated(dep, seeds=[13], protocol="mis")
+        assert res.completed and res.protocol == "mis"
